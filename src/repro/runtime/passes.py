@@ -83,6 +83,7 @@ bisection, mirroring the ``use_compiled_train`` fallback style.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -478,115 +479,131 @@ _SYN_NHWC_NEUTRAL = 0.99
 _SYN_TRANSPOSE = 0.25
 
 
-def _step_layout_plan(step, lay, conv_layout, zero_slots):
-    """Decide the layout a step runs in and what it needs from its inputs.
+#: Record kinds of a :class:`_LayoutProgram` (one per step type family).
+_CONV, _FOLLOW, _ACT, _ADD_INPLACE, _JOIN, _GATE, _TRANSPOSE, _ANCHOR = range(8)
 
-    ``lay`` maps a slot to its current layout tag (``None`` for non-4-D
-    slots).  Returns ``(step_layout, requires, out_layouts)``: ``requires``
-    maps read slots to the layout the step must observe them in (zero slots
-    are wildcards, satisfied by re-tagging instead of transposing) and
-    ``out_layouts`` maps (re)defined slots to their tags after the step.
+
+class _LayoutProgram:
+    """A plan's step list compiled once into flat layout-propagation records.
+
+    Each step becomes ``(kind, arg, reads, out, prefs)``: the ``(slot,
+    write version)`` pairs whose layout it constrains (versions are static,
+    so they are counted once, here), the slot it tags (or ``None``), the
+    conv id / source slot / transpose layouts, and the non-zero operands a
+    join votes with.  The rules:
+
+    * a conv runs in its assigned layout and requires it of its input and
+      residual;
+    * BN / tile (and global pooling, which tags nothing) follow their
+      input's tag; in-place activations keep the tag but bump the version;
+    * an in-place add keeps its aliased operand's tag (it cannot be
+      transposed away); an out-of-place add takes its first non-zero tagged
+      operand's; a gate combine the majority of its non-zero operands'
+      (ties: the first); both require that layout of every operand;
+    * anchors (pooling, flatten, reshape, opaque, ...) require NCHW.
+
+    All-zero helper slots are wildcards: the first read that disagrees with
+    one re-tags it instead of transposing.  :meth:`walk` runs the records
+    under one conv assignment, for the cost model and the materialiser.
     """
-    if isinstance(step, Conv2dStep):
-        layout = conv_layout.get(id(step), "NCHW")
-        requires = {step.in_slot: layout}
-        if step.res_slot is not None:
-            requires[step.res_slot] = layout
-        return layout, requires, {step.out_slot: layout}
-    if isinstance(step, (BatchNormStep, TileStep)):
-        layout = lay(step.in_slot) or "NCHW"
-        return layout, {}, {step.out_slot: layout}
-    if isinstance(step, ActivationStep):
-        # Elementwise in place: runs in whatever layout the slot carries, but
-        # redefines the slot (any transposed twin of it goes stale).
-        return lay(step.slot), {}, {step.slot: lay(step.slot)}
-    if isinstance(step, AddStep):
-        if step.out_slot in (step.a_slot, step.b_slot):
-            # In-place join: the aliased operand cannot be transposed away.
-            layout = lay(step.out_slot) or "NCHW"
-        else:
-            prefs = [
-                lay(slot)
-                for slot in (step.a_slot, step.b_slot)
-                if slot not in zero_slots and lay(slot) is not None
-            ]
-            layout = prefs[0] if prefs else "NCHW"
-        requires = {
-            slot: layout
-            for slot in (step.a_slot, step.b_slot)
-            if slot != step.out_slot
-        }
-        return layout, requires, {step.out_slot: layout}
-    if isinstance(step, GateCombineStep):
-        prefs = [
-            lay(slot)
-            for slot in step.in_slots
-            if slot not in zero_slots and lay(slot) is not None
-        ]
-        nhwc = sum(1 for pref in prefs if pref == "NHWC")
-        if not prefs:
-            layout = "NCHW"
-        elif nhwc * 2 > len(prefs):
-            layout = "NHWC"
-        elif nhwc * 2 < len(prefs):
-            layout = "NCHW"
-        else:
-            layout = prefs[0]
-        return layout, {slot: layout for slot in step.in_slots}, {step.out_slot: layout}
-    if isinstance(step, GlobalAvgPoolStep):
-        # Reduces over whatever layout its input carries; output is 2-D.
-        return lay(step.in_slot) or "NCHW", {}, {}
-    if isinstance(step, TransposeStep):
-        return step.to_layout, {step.in_slot: step.from_layout}, {
-            step.out_slot: step.to_layout
-        }
-    # Anchors: pooling / flatten / reshape / opaque (and anything else that
-    # indexes spatial axes logically) require physical NCHW on 4-D slots.
-    requires = {slot: "NCHW" for slot in step_reads(step) if lay(slot) is not None}
-    return "NCHW", requires, {}
 
+    def __init__(self, plan, ctx):
+        self.tags = list(plan._layouts)
+        self.zero_slots = zero = ctx.zero_slots
+        versions = {}
+        records = []
+        for step in plan.steps:
+            arg = out = None
+            prefs = ()
+            if isinstance(step, Conv2dStep):
+                kind, arg, out = _CONV, id(step), step.out_slot
+                reads = (step.in_slot,) + (
+                    (step.res_slot,) if step.res_slot is not None else ()
+                )
+            elif isinstance(step, (BatchNormStep, TileStep, GlobalAvgPoolStep)):
+                kind, arg, reads = _FOLLOW, step.in_slot, ()
+                if not isinstance(step, GlobalAvgPoolStep):  # pooled output is 2-D
+                    out = step.out_slot
+            elif isinstance(step, ActivationStep):
+                kind, reads = _ACT, ()
+            elif isinstance(step, AddStep):
+                out = step.out_slot
+                operands = (step.a_slot, step.b_slot)
+                if out in operands:
+                    kind = _ADD_INPLACE
+                    reads = tuple(slot for slot in operands if slot != out)
+                else:
+                    kind, reads = _JOIN, operands
+                    prefs = tuple(slot for slot in operands if slot not in zero)
+            elif isinstance(step, GateCombineStep):
+                kind, out, reads = _GATE, step.out_slot, step.in_slots
+                prefs = tuple(slot for slot in step.in_slots if slot not in zero)
+            elif isinstance(step, TransposeStep):
+                kind, out, reads = _TRANSPOSE, step.out_slot, (step.in_slot,)
+                arg = (step.from_layout, step.to_layout)
+            else:
+                kind, reads = _ANCHOR, step_reads(step)
+            # Repeated reads constrain a slot once, at its first position.
+            reads = tuple((slot, versions.get(slot, 0)) for slot in dict.fromkeys(reads))
+            records.append((kind, arg, reads, out, prefs))
+            if out is not None or kind == _ACT:
+                for slot in step_writes(step):
+                    versions[slot] = versions.get(slot, 0) + 1
+        self.records = records
 
-def _walk_layouts(plan, ctx, conv_layout, on_boundary, materialize=None):
-    """Shared propagation walk for the cost model and the materialiser.
+    def walk(self, assign, step_layouts=None):
+        """Propagate tags under ``assign`` (conv id -> layout).
 
-    Walks the program in order tracking per-slot layout tags, slot write
-    versions and first-claim re-tagging of all-zero wildcard slots; calls
-    ``on_boundary(step, slot, version, current, needed)`` (returning a
-    replacement slot, or ``None``) for every read whose tag mismatches.
-    """
-    if materialize is None:
-        layouts = list(plan._layouts)
-    else:
-        layouts = plan._layouts  # mutated in place
-    versions = {}
-    claimed_zero = set()
-    for step in plan.steps:
-        layout, requires, outs = _step_layout_plan(
-            step, lambda s: layouts[s], conv_layout, ctx.zero_slots
-        )
-        remap = {}
-        for slot, needed in requires.items():
-            current = layouts[slot]
-            if current is None or current == needed:
-                continue
-            if slot in ctx.zero_slots and slot not in claimed_zero:
-                # All-zero contents are layout-invariant: re-tag for free.
-                claimed_zero.add(slot)
-                layouts[slot] = needed
-                continue
-            twin = on_boundary(step, slot, versions.get(slot, 0), current, needed)
-            if twin is not None:
-                remap[slot] = twin
-        if materialize is not None:
-            if remap:
-                _rewire_reads(step, remap)
-            if isinstance(step, (Conv2dStep, BatchNormStep, GlobalAvgPoolStep)):
-                step.layout = layout
-            materialize.append(step)
-        for slot, new_layout in outs.items():
-            if new_layout is not None:
-                layouts[slot] = new_layout
-            versions[slot] = versions.get(slot, 0) + 1
+        Returns ``(boundaries, tags)``: every read whose tag mismatches, as
+        ``(step index, slot, version, current, needed)`` in program order,
+        and the final per-slot tags.  ``step_layouts``, when given, receives
+        the layout each step runs in.
+        """
+        tags = list(self.tags)
+        zero = self.zero_slots
+        claimed = set()
+        boundaries = []
+        for index, (kind, arg, reads, out, prefs) in enumerate(self.records):
+            if kind == _CONV:
+                layout = assign[arg]
+            elif kind == _FOLLOW:
+                layout = tags[arg] or "NCHW"
+            elif kind == _ACT:
+                layout = None
+            elif kind == _ADD_INPLACE:
+                layout = tags[out] or "NCHW"
+            elif kind == _JOIN:
+                layout = next(
+                    (tags[slot] for slot in prefs if tags[slot] is not None), "NCHW"
+                )
+            elif kind == _GATE:
+                votes = [tags[slot] for slot in prefs if tags[slot] is not None]
+                nhwc = votes.count("NHWC")
+                if not votes or nhwc * 2 < len(votes):
+                    layout = "NCHW"
+                elif nhwc * 2 > len(votes):
+                    layout = "NHWC"
+                else:
+                    layout = votes[0]
+            elif kind == _TRANSPOSE:
+                layout = arg[0]
+            else:
+                layout = "NCHW"
+            for slot, version in reads:
+                current = tags[slot]
+                if current is None or current == layout:
+                    continue
+                if slot in zero and slot not in claimed:
+                    # All-zero contents are layout-invariant: re-tag for free.
+                    claimed.add(slot)
+                    tags[slot] = layout
+                    continue
+                boundaries.append((index, slot, version, current, layout))
+            if out is not None:
+                tags[out] = arg[1] if kind == _TRANSPOSE else layout
+            if step_layouts is not None:
+                step_layouts.append(layout)
+        return boundaries, tags
 
 
 def _rewire_reads(step, remap):
@@ -642,21 +659,14 @@ def _conv_components(plan, convs):
     return list(groups.values())
 
 
-def assign_layouts(plan, ctx):
-    """Assign NCHW/NHWC per conv by cost, then materialise transpose steps.
+def _layout_cost_model(plan, ctx, convs, program):
+    """Per-conv layout costs and the hill-climb's cost of one assignment.
 
-    Candidate layouts and their measured kernel costs come from
-    :func:`repro.runtime.kernels.layout_costs`; boundary costs from
-    :func:`repro.runtime.kernels.transpose_seconds`.  Under heuristic mode
-    (no timing) a deterministic synthetic cost model prefers NHWC for
-    depthwise / pointwise convolutions.  A hill-climb from the all-NCHW
-    assignment tries whole-component flips and single-conv toggles, accepting
-    moves that beat the incumbent by more than 3%.
+    Returns ``(conv_costs, evaluate)``: ``conv_costs`` maps each conv id to
+    ``{layout: seconds}`` and ``evaluate(assign)`` prices an assignment as
+    its kernel costs plus one transpose per distinct boundary
+    ``(slot, version, layout)`` the ``program`` walk finds.
     """
-    convs = [step for step in plan.steps if isinstance(step, Conv2dStep)]
-    if not convs:
-        return
-
     conv_costs = {}
     heuristic = False
     for step in convs:
@@ -682,22 +692,48 @@ def assign_layouts(plan, ctx):
             return _SYN_TRANSPOSE
 
     else:
+        transpose_memo = {}
 
         def trans_cost(slot):
-            return conv_kernels.transpose_seconds(plan.shape(slot), plan.dtype)
+            cost = transpose_memo.get(slot)
+            if cost is None:
+                cost = transpose_memo[slot] = conv_kernels.transpose_seconds(
+                    plan.shape(slot), plan.dtype
+                )
+            return cost
+
+    # A training-plan transpose also runs (reversed) in the backward pass.
+    weight = 2.0 if plan.train else 1.0
 
     def evaluate(assign):
-        boundaries = set()
+        boundaries = {
+            (slot, version, needed)
+            for _, slot, version, _, needed in program.walk(assign)[0]
+        }
+        total = sum([conv_costs[cid][layout] for cid, layout in assign.items()])
+        return total + weight * sum([trans_cost(slot) for slot, _, _ in boundaries])
 
-        def on_boundary(step, slot, version, current, needed):
-            boundaries.add((slot, version, needed))
-            return None
+    return conv_costs, evaluate
 
-        _walk_layouts(plan, ctx, assign, on_boundary)
-        total = sum(conv_costs[cid][layout] for cid, layout in assign.items())
-        # A training-plan transpose also runs (reversed) in the backward pass.
-        weight = 2.0 if plan.train else 1.0
-        return total + weight * sum(trans_cost(slot) for slot, _, _ in boundaries)
+
+def assign_layouts(plan, ctx):
+    """Assign NCHW/NHWC per conv by cost, then materialise transpose steps.
+
+    Candidate layouts and their measured kernel costs come from
+    :func:`repro.runtime.kernels.layout_costs`; boundary costs from
+    :func:`repro.runtime.kernels.transpose_seconds`.  Under heuristic mode
+    (no timing) a deterministic synthetic cost model prefers NHWC for
+    depthwise / pointwise convolutions.  A hill-climb from the all-NCHW
+    assignment tries whole-component flips and single-conv toggles, accepting
+    moves that beat the incumbent by more than 3%.  The plan is compiled
+    once into a :class:`_LayoutProgram` that prices every candidate and
+    then materialises the winner.
+    """
+    convs = [step for step in plan.steps if isinstance(step, Conv2dStep)]
+    if not convs:
+        return
+    program = _LayoutProgram(plan, ctx)
+    conv_costs, evaluate = _layout_cost_model(plan, ctx, convs, program)
 
     def feasible_flip(assign, cid, layout):
         if conv_costs[cid][layout] == float("inf"):
@@ -740,21 +776,31 @@ def assign_layouts(plan, ctx):
 
     # Materialise: insert transpose steps at surviving boundaries, re-tag
     # slots and steps, rewire reads through versioned twin slots.
+    step_layouts = []
+    boundaries, tags = program.walk(assign, step_layouts)
+    at_step = {}
+    for boundary in boundaries:
+        at_step.setdefault(boundary[0], []).append(boundary)
     twins = {}
     new_steps = []
-
-    def on_boundary(step, slot, version, current, needed):
-        key = (slot, version, needed)
-        twin = twins.get(key)
-        if twin is None:
-            twin = plan.new_slot(plan.shape(slot), layout=needed)
-            new_steps.append(TransposeStep(slot, twin, current, needed))
-            twins[key] = twin
-            if slot == plan.input_slot or slot in plan._no_grad_slots:
-                plan._no_grad_slots.add(twin)
-        return twin
-
-    _walk_layouts(plan, ctx, assign, on_boundary, materialize=new_steps)
+    for index, step in enumerate(plan.steps):
+        remap = {}
+        for _, slot, version, current, needed in at_step.get(index, ()):
+            key = (slot, version, needed)
+            twin = twins.get(key)
+            if twin is None:
+                twin = plan.new_slot(plan.shape(slot), layout=needed)
+                new_steps.append(TransposeStep(slot, twin, current, needed))
+                twins[key] = twin
+                if slot == plan.input_slot or slot in plan._no_grad_slots:
+                    plan._no_grad_slots.add(twin)
+            remap[slot] = twin
+        if remap:
+            _rewire_reads(step, remap)
+        if isinstance(step, (Conv2dStep, BatchNormStep, GlobalAvgPoolStep)):
+            step.layout = step_layouts[index]
+        new_steps.append(step)
+    plan._layouts[: len(tags)] = tags
     plan.steps = new_steps
 
 
@@ -946,7 +992,7 @@ def alias_slots(plan, ctx):
     def nbytes_of(slot):
         # Per-slot dtype: quantized activation slots are narrower than the
         # plan dtype, and arenas are shared by bytes.
-        return int(np.prod(plan.shape(slot))) * plan.slot_dtype(slot).itemsize
+        return math.prod(plan.shape(slot)) * plan.slot_dtype(slot).itemsize
 
     protected_roots = {find(slot) for slot in ctx.protected_slots}
     protected_roots |= {find(slot) for slot in ctx.zero_slots}
@@ -1201,10 +1247,7 @@ def lint_plan(plan, ctx=None):
         )
         for kind, slot_arena, arena_nbytes in checks:
             for slot, arena in slot_arena.items():
-                need = (
-                    int(np.prod(plan.shape(slot)))
-                    * plan.slot_dtype(slot).itemsize
-                )
+                need = math.prod(plan.shape(slot)) * plan.slot_dtype(slot).itemsize
                 if arena_nbytes[arena] < need:
                     problems.append(
                         "{} arena {} holds {} bytes but aliased slot {} "

@@ -34,6 +34,9 @@ it in place.
 
 from __future__ import annotations
 
+import bisect
+import itertools
+import math
 import weakref
 from collections import OrderedDict
 
@@ -134,7 +137,10 @@ class BufferPool:
 
     def __init__(self, max_waste=2.0):
         self.max_waste = float(max_waste)
+        #: ``(nbytes, arrival, block)`` sorted: a bisect finds the smallest
+        #: adequate block, and among equal sizes the earliest returned.
         self._free = []
+        self._arrivals = itertools.count()
         self.hits = 0
         self.misses = 0
         self.bytes_pooled = 0
@@ -144,16 +150,12 @@ class BufferPool:
     def take(self, nbytes):
         """A byte block of capacity >= ``nbytes`` (recycled when possible)."""
         nbytes = int(nbytes)
-        best = None
-        for index, block in enumerate(self._free):
-            if block.nbytes < nbytes:
-                continue
-            if best is None or block.nbytes < self._free[best].nbytes:
-                best = index
-        if best is not None and self._free[best].nbytes <= max(
+        free = self._free
+        index = bisect.bisect_left(free, (nbytes, -1))
+        if index < len(free) and free[index][0] <= max(
             int(nbytes * self.max_waste), nbytes + (1 << 16)
         ):
-            block = self._free.pop(best)
+            block = free.pop(index)[2]
             self.hits += 1
             self.bytes_pooled += block.nbytes
             return block
@@ -163,7 +165,8 @@ class BufferPool:
 
     def give(self, blocks):
         """Return released blocks to the free list."""
-        self._free.extend(blocks)
+        for block in blocks:
+            bisect.insort(self._free, (block.nbytes, next(self._arrivals), block))
 
     def stats(self):
         """Counters for observability: recycled vs freshly-faulted bytes."""
@@ -178,7 +181,7 @@ class BufferPool:
     @property
     def free_bytes(self):
         """Total capacity currently sitting in the free list."""
-        return sum(block.nbytes for block in self._free)
+        return sum(nbytes for nbytes, _, _ in self._free)
 
     def clear(self):
         """Drop every pooled block (returning the memory to the allocator)."""
@@ -700,7 +703,7 @@ class BatchNormStep(Step, _BNMixin):
     def scratch_requests(self, plan):
         if not plan.train:
             return ()
-        nbytes = int(np.prod(plan.shape(self.in_slot))) * plan.dtype.itemsize
+        nbytes = math.prod(plan.shape(self.in_slot)) * plan.dtype.itemsize
         return ((SCRATCH_MAIN, nbytes),)
 
     def allocate_backward(self, plan):
@@ -975,7 +978,7 @@ class SoftmaxStep(Step):
     def scratch_requests(self, plan):
         if not plan.train:
             return ()
-        nbytes = int(np.prod(plan.shape(self.out_slot))) * plan.dtype.itemsize
+        nbytes = math.prod(plan.shape(self.out_slot)) * plan.dtype.itemsize
         return ((SCRATCH_MAIN, nbytes),)
 
     def allocate_backward(self, plan):
@@ -1011,7 +1014,7 @@ class GateCombineStep(Step):
         self.num_samples = int(num_samples)
 
     def scratch_requests(self, plan):
-        nbytes = int(np.prod(plan.shape(self.out_slot))) * plan.dtype.itemsize
+        nbytes = math.prod(plan.shape(self.out_slot)) * plan.dtype.itemsize
         return ((SCRATCH_MAIN, nbytes),)
 
     def allocate(self, plan):
@@ -1178,7 +1181,7 @@ class QuantizeStep(Step):
         self.layout = layout
 
     def scratch_requests(self, plan):
-        nbytes = int(np.prod(plan.shape(self.in_slot))) * plan.dtype.itemsize
+        nbytes = math.prod(plan.shape(self.in_slot)) * plan.dtype.itemsize
         return ((SCRATCH_MAIN, nbytes),)
 
     def allocate(self, plan):
@@ -1338,7 +1341,7 @@ class Plan:
         """
         shape = tuple(int(d) for d in shape)
         dtype = self.dtype if dtype is None else np.dtype(dtype)
-        nbytes = int(np.prod(shape)) * dtype.itemsize
+        nbytes = math.prod(shape) * dtype.itemsize
         self.alloc_bytes += nbytes
         if self._pool is None:
             return np.zeros(shape, dtype=dtype) if zero else np.empty(shape, dtype=dtype)
@@ -1358,7 +1361,7 @@ class Plan:
         private :meth:`alloc`.
         """
         dtype = self.dtype if dtype is None else np.dtype(dtype)
-        nbytes = int(np.prod(tuple(int(d) for d in shape))) * dtype.itemsize
+        nbytes = math.prod(int(d) for d in shape) * dtype.itemsize
         block = self._scratch_blocks.get(channel)
         if block is None or nbytes > block.nbytes:
             return self.alloc(shape, dtype=dtype)
@@ -1460,7 +1463,7 @@ class Plan:
             if slot in self._view_slots or slot in dead:
                 bufs.append(None)
             elif slot in arena_map:
-                nbytes = int(np.prod(shape)) * dtype.itemsize
+                nbytes = math.prod(shape) * dtype.itemsize
                 block = arena_blocks[arena_map[slot]]
                 bufs.append(block[:nbytes].view(dtype).reshape(shape))
             else:
@@ -1634,7 +1637,7 @@ class Plan:
                 continue
             dead = self.storage is not None and slot in self.storage.dead_slots
             if not dead:
-                logical += int(np.prod(shape)) * self.slot_dtype(slot).itemsize
+                logical += math.prod(shape) * self.slot_dtype(slot).itemsize
         if self.train:
             logical *= 2
         return {

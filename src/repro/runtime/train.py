@@ -24,8 +24,13 @@ Eq. 12 without ever touching the autograd tape:
 
 Plans are cached per ``(batch shape, sampled path, gated active-paths)``
 signature, so steady-state A2C training compiles exactly once; supernet
-co-search re-compiles when the sampled active paths change (a structural walk
-plus buffer allocation — microseconds next to the update itself).
+co-search re-compiles when the sampled active paths change, which is every
+update: a structural walk, the optimisation passes (the layout search is the
+costly one) and buffer allocation from a warm pool.  That is milliseconds,
+not microseconds: the traced ``cosearch`` benchmark (``perfbench``, 2-core
+host) records ``train.compile_ms`` at ~77 ms per update with the layout
+search re-walking the step list per candidate, and ~20 ms with it running on
+a flat layout program and a bisecting buffer pool.
 
 Anything the compiler cannot differentiate (opaque modules, active dropout)
 raises :class:`~repro.runtime.compiler.CompileError`, and every caller keeps

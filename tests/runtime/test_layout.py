@@ -10,14 +10,19 @@ tolerances the kernel suite already enforces (1e-12 f64 / 1e-6 f32,
 relative to the output scale).
 """
 
+import zlib
+
 import numpy as np
 import pytest
 
 from repro.drl.agent import ActorCriticAgent
+from repro.drl.teacher import make_agent
 from repro.networks import AgentSuperNet, build_backbone
 from repro.nn import Sequential, no_grad, Tensor
 from repro.nn.modules import BatchNorm2d, Conv2d, ReLU
 from repro.runtime import CompiledTrainStep, compile_plan
+from repro.runtime import kernels as conv_kernels
+from repro.runtime import passes
 from repro.runtime.kernels import ENV_VAR as KERNELS_ENV
 from repro.runtime.kernels.registry import reset_selections, scratch_upper_bound, ConvSpec
 from repro.runtime.passes import (
@@ -28,7 +33,16 @@ from repro.runtime.passes import (
     lint_enabled,
     lint_plan,
 )
-from repro.runtime.plan import Conv2dStep, TransposeStep
+from repro.runtime.plan import (
+    ActivationStep,
+    AddStep,
+    BatchNormStep,
+    Conv2dStep,
+    GateCombineStep,
+    GlobalAvgPoolStep,
+    TileStep,
+    TransposeStep,
+)
 
 F64_TOL = 1e-12
 F32_TOL = 1e-6
@@ -347,3 +361,395 @@ class TestCacheStatsLayout:
         assert "NHWC" in layouts
         for signature, entry in rows.items():
             assert entry["layout"].lower() in signature
+
+
+# --------------------------------------------------------------------------- #
+# Layout-decision equivalence against the step-walking reference
+# --------------------------------------------------------------------------- #
+# The reference below is the layout pass as it was before it compiled the
+# plan into a flat record program: a per-step rule function driven through a
+# generic propagation walk, re-run for every candidate the hill-climb prices.
+# The production pass must reach bit-identical costs, assignments and step
+# lists from the same kernel costs.
+
+
+def _ref_step_layout_plan(step, lay, conv_layout, zero_slots):
+    if isinstance(step, Conv2dStep):
+        layout = conv_layout.get(id(step), "NCHW")
+        requires = {step.in_slot: layout}
+        if step.res_slot is not None:
+            requires[step.res_slot] = layout
+        return layout, requires, {step.out_slot: layout}
+    if isinstance(step, (BatchNormStep, TileStep)):
+        layout = lay(step.in_slot) or "NCHW"
+        return layout, {}, {step.out_slot: layout}
+    if isinstance(step, ActivationStep):
+        return lay(step.slot), {}, {step.slot: lay(step.slot)}
+    if isinstance(step, AddStep):
+        if step.out_slot in (step.a_slot, step.b_slot):
+            layout = lay(step.out_slot) or "NCHW"
+        else:
+            prefs = [
+                lay(slot)
+                for slot in (step.a_slot, step.b_slot)
+                if slot not in zero_slots and lay(slot) is not None
+            ]
+            layout = prefs[0] if prefs else "NCHW"
+        requires = {
+            slot: layout
+            for slot in (step.a_slot, step.b_slot)
+            if slot != step.out_slot
+        }
+        return layout, requires, {step.out_slot: layout}
+    if isinstance(step, GateCombineStep):
+        prefs = [
+            lay(slot)
+            for slot in step.in_slots
+            if slot not in zero_slots and lay(slot) is not None
+        ]
+        nhwc = sum(1 for pref in prefs if pref == "NHWC")
+        if not prefs:
+            layout = "NCHW"
+        elif nhwc * 2 > len(prefs):
+            layout = "NHWC"
+        elif nhwc * 2 < len(prefs):
+            layout = "NCHW"
+        else:
+            layout = prefs[0]
+        return layout, {slot: layout for slot in step.in_slots}, {step.out_slot: layout}
+    if isinstance(step, GlobalAvgPoolStep):
+        return lay(step.in_slot) or "NCHW", {}, {}
+    if isinstance(step, TransposeStep):
+        return step.to_layout, {step.in_slot: step.from_layout}, {
+            step.out_slot: step.to_layout
+        }
+    requires = {
+        slot: "NCHW" for slot in passes.step_reads(step) if lay(slot) is not None
+    }
+    return "NCHW", requires, {}
+
+
+def _ref_walk_layouts(plan, ctx, conv_layout, on_boundary, materialize=None):
+    if materialize is None:
+        layouts = list(plan._layouts)
+    else:
+        layouts = plan._layouts
+    versions = {}
+    claimed_zero = set()
+    for step in plan.steps:
+        layout, requires, outs = _ref_step_layout_plan(
+            step, lambda s: layouts[s], conv_layout, ctx.zero_slots
+        )
+        remap = {}
+        for slot, needed in requires.items():
+            current = layouts[slot]
+            if current is None or current == needed:
+                continue
+            if slot in ctx.zero_slots and slot not in claimed_zero:
+                claimed_zero.add(slot)
+                layouts[slot] = needed
+                continue
+            twin = on_boundary(step, slot, versions.get(slot, 0), current, needed)
+            if twin is not None:
+                remap[slot] = twin
+        if materialize is not None:
+            if remap:
+                passes._rewire_reads(step, remap)
+            if isinstance(step, (Conv2dStep, BatchNormStep, GlobalAvgPoolStep)):
+                step.layout = layout
+            materialize.append(step)
+        for slot, new_layout in outs.items():
+            if new_layout is not None:
+                layouts[slot] = new_layout
+            versions[slot] = versions.get(slot, 0) + 1
+
+
+def _ref_cost_model(plan, ctx, convs):
+    conv_costs = {}
+    heuristic = False
+    for step in convs:
+        costs = dict(conv_kernels.layout_costs(step._spec(plan)))
+        if step.out_slot in ctx.protected_slots:
+            costs["NHWC"] = float("inf")
+        if any(cost is None for cost in costs.values()):
+            heuristic = True
+        conv_costs[id(step)] = costs
+    if heuristic:
+        for step in convs:
+            spec = step._spec(plan)
+            feasible = conv_costs[id(step)].get("NHWC") != float("inf")
+            good = spec.depthwise or spec.pointwise
+            conv_costs[id(step)] = {
+                "NCHW": passes._SYN_NCHW,
+                "NHWC": (passes._SYN_NHWC_GOOD if good else passes._SYN_NHWC_NEUTRAL)
+                if feasible
+                else float("inf"),
+            }
+
+        def trans_cost(slot):
+            return passes._SYN_TRANSPOSE
+
+    else:
+
+        def trans_cost(slot):
+            return conv_kernels.transpose_seconds(plan.shape(slot), plan.dtype)
+
+    def evaluate(assign):
+        boundaries = set()
+
+        def on_boundary(step, slot, version, current, needed):
+            boundaries.add((slot, version, needed))
+
+        _ref_walk_layouts(plan, ctx, assign, on_boundary)
+        total = sum(conv_costs[cid][layout] for cid, layout in assign.items())
+        weight = 2.0 if plan.train else 1.0
+        return total + weight * sum(trans_cost(slot) for slot, _, _ in boundaries)
+
+    return conv_costs, evaluate
+
+
+def _ref_assign_layouts(plan, ctx):
+    convs = [step for step in plan.steps if isinstance(step, Conv2dStep)]
+    if not convs:
+        return
+    conv_costs, evaluate = _ref_cost_model(plan, ctx, convs)
+    assign = {id(step): "NCHW" for step in convs}
+    best = evaluate(assign)
+    components = passes._conv_components(plan, convs)
+    for _ in range(passes._LAYOUT_ROUNDS):
+        moves = []
+        for comp in components:
+            for layout in conv_kernels.LAYOUTS:
+                moves.append([(cid, layout) for cid in comp])
+        for step in convs:
+            cid = id(step)
+            moves.append([(cid, "NHWC" if assign[cid] == "NCHW" else "NCHW")])
+        winner = None
+        winner_cost = best
+        for move in moves:
+            candidate = dict(assign)
+            changed = False
+            for cid, layout in move:
+                if conv_costs[cid][layout] != float("inf") and candidate[cid] != layout:
+                    candidate[cid] = layout
+                    changed = True
+            if not changed:
+                continue
+            cost = evaluate(candidate)
+            if cost < winner_cost * passes._LAYOUT_MARGIN:
+                winner, winner_cost = candidate, cost
+        if winner is None:
+            break
+        assign, best = winner, winner_cost
+    if all(layout == "NCHW" for layout in assign.values()):
+        return
+    twins = {}
+    new_steps = []
+
+    def on_boundary(step, slot, version, current, needed):
+        key = (slot, version, needed)
+        twin = twins.get(key)
+        if twin is None:
+            twin = plan.new_slot(plan.shape(slot), layout=needed)
+            new_steps.append(TransposeStep(slot, twin, current, needed))
+            twins[key] = twin
+            if slot == plan.input_slot or slot in plan._no_grad_slots:
+                plan._no_grad_slots.add(twin)
+        return twin
+
+    _ref_walk_layouts(plan, ctx, assign, on_boundary, materialize=new_steps)
+    plan.steps = new_steps
+
+
+def _fake_measured(monkeypatch):
+    """Fixed per-signature "measured" costs: the timed branch, deterministically.
+
+    Dispatch stays heuristic (no timing at all); the layout pass sees
+    per-layout kernel costs and per-shape transpose costs derived from a
+    checksum of the signature, so it searches a rugged but reproducible
+    landscape that lands on mixed assignments.
+    """
+    real_layout_costs = conv_kernels.layout_costs
+
+    def unit(text):
+        return (zlib.crc32(text.encode()) % 1000 + 1) / 1000.0
+
+    def layout_costs(spec):
+        costs = real_layout_costs(spec)
+        # Channels-last a little cheaper on average, so searches mix layouts.
+        scale = {"NCHW": 1e-4, "NHWC": 0.7e-4}
+        return {
+            layout: cost if cost is not None
+            else scale[layout] * unit("{}{}".format(spec, layout))
+            for layout, cost in costs.items()
+        }
+
+    def transpose_seconds(shape, dtype):
+        return 5e-6 * unit("{}{}".format(tuple(shape), np.dtype(dtype)))
+
+    monkeypatch.setattr(conv_kernels, "layout_costs", layout_costs)
+    monkeypatch.setattr(conv_kernels, "transpose_seconds", transpose_seconds)
+
+
+def _gated_supernet_agent():
+    """A3CSConfig geometry: 12 cells, base width 8, 28x28x2 observations."""
+    supernet = AgentSuperNet(in_channels=2, input_size=28, feature_dim=32,
+                             base_width=8, num_cells=12,
+                             rng=np.random.default_rng(0))
+    agent = ActorCriticAgent(supernet, num_actions=6, feature_dim=32,
+                             rng=np.random.default_rng(0))
+    agent.train()
+    return agent
+
+
+def _top2_paths(agent, seed):
+    r = np.random.default_rng(seed)
+    supernet = agent.backbone
+    return tuple(
+        tuple(sorted(int(i) for i in r.choice(supernet.num_choices_per_cell, 2,
+                                               replace=False)))
+        for _ in range(supernet.num_cells)
+    )
+
+
+def _derived_rollout_agent():
+    """The derived [4,5,6]x4 agent (base width 16, 32x32x2) of the rollout loop."""
+    supernet = AgentSuperNet(in_channels=2, input_size=32, feature_dim=128,
+                             base_width=16, rng=np.random.default_rng(0))
+    agent = ActorCriticAgent(supernet.derive([4, 5, 6] * 4), num_actions=6,
+                             feature_dim=128, rng=np.random.default_rng(0))
+    agent.eval()
+    return agent
+
+
+def _plan_structure(plan):
+    """Everything the layout pass decides, in comparable form."""
+    steps = [
+        (
+            type(step).__name__,
+            getattr(step, "layout", None),
+            tuple(passes.step_reads(step)),
+            tuple(passes.step_writes(step)),
+            getattr(step, "from_layout", None),
+            getattr(step, "to_layout", None),
+        )
+        for step in plan.steps
+    ]
+    return steps, list(plan._layouts), sorted(plan._no_grad_slots)
+
+
+def _compile_both(monkeypatch, compile_fn, assignments=24):
+    """Compile with the production pass and with the reference pass.
+
+    While the production compile runs, the pre-layout plan is also priced
+    under random assignments by both evaluators, which must agree exactly.
+    Returns both compiled structures and the production plan.
+    """
+    priced = []
+
+    def production(plan, ctx):
+        convs = [step for step in plan.steps if isinstance(step, Conv2dStep)]
+        if convs:
+            program = passes._LayoutProgram(plan, ctx)
+            _, evaluate = passes._layout_cost_model(plan, ctx, convs, program)
+            _, reference = _ref_cost_model(plan, ctx, convs)
+            r = np.random.default_rng(len(plan.steps))
+            for trial in range(assignments):
+                share = (trial % 4 + 0.5) / 4.0
+                assign = {
+                    id(step): "NHWC" if r.random() < share else "NCHW"
+                    for step in convs
+                }
+                cost = evaluate(assign)
+                assert cost == reference(assign), (trial, cost, reference(assign))
+            priced.append(len(convs))
+        passes.assign_layouts(plan, ctx)
+
+    monkeypatch.setitem(passes._PASS_FUNCS, "layout", production)
+    plan = compile_fn()
+    monkeypatch.setitem(passes._PASS_FUNCS, "layout", _ref_assign_layouts)
+    reference = compile_fn()
+    monkeypatch.setitem(passes._PASS_FUNCS, "layout", passes.assign_layouts)
+    assert priced, "the layout pass never ran"
+    return _plan_structure(plan), _plan_structure(reference), plan
+
+
+@pytest.fixture(params=["heuristic", "measured"])
+def cost_mode(request, monkeypatch):
+    """Both cost branches of the pass, deterministically."""
+    monkeypatch.setenv(KERNELS_ENV, "heuristic")
+    if request.param == "measured":
+        _fake_measured(monkeypatch)
+    return request.param
+
+
+class TestLayoutProgramEquivalence:
+    """The compiled layout program decides exactly what the step walk did."""
+
+    def _assert_same(self, monkeypatch, compile_fn):
+        got, want, plan = _compile_both(monkeypatch, compile_fn)
+        assert got[0] == want[0]
+        assert got[1] == want[1]
+        assert got[2] == want[2]
+        return plan
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gated_supernet_train_plans(self, monkeypatch, cost_mode, seed):
+        agent = _gated_supernet_agent()
+        gated = _top2_paths(agent, seed)
+        self._assert_same(
+            monkeypatch,
+            lambda: compile_plan(agent, (10, 2, 28, 28), train=True, gated_paths=gated),
+        )
+
+    @pytest.mark.parametrize("batch", [1, 2, 16, 32])
+    def test_derived_agent_f32_inference(self, monkeypatch, cost_mode, batch):
+        agent = _derived_rollout_agent()
+        self._assert_same(
+            monkeypatch,
+            lambda: compile_plan(agent, (batch, 2, 32, 32), dtype=np.float32),
+        )
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_resnet20_teacher(self, monkeypatch, cost_mode, train):
+        teacher = make_agent("ResNet-20", obs_size=28, frame_stack=2,
+                             feature_dim=32, base_width=8, seed=0)
+        teacher.train(train)
+        self._assert_same(
+            monkeypatch,
+            lambda: compile_plan(teacher, (10, 2, 28, 28), train=train),
+        )
+
+    def test_zero_slots_and_in_place_joins(self, monkeypatch, cost_mode):
+        """Standalone ReLUs share all-zero helper slots (first-claim re-tags)."""
+        net = Sequential(depthwise_stack(stride=1), ReLU(), depthwise_stack(cin=6, k=3))
+        net.train()
+        plan = self._assert_same(
+            monkeypatch, lambda: compile_plan(net, (4, 6, 9, 9), train=True)
+        )
+        operands = [step.b_slot for step in plan.steps if isinstance(step, AddStep)]
+        # The shared zero slot really is shared between joins.
+        assert max(operands.count(slot) for slot in operands) >= 2
+
+    def test_rerun_over_materialised_transposes(self, monkeypatch, cost_mode):
+        """Existing transpose steps re-tag their outputs and constrain their inputs."""
+        agent = _derived_rollout_agent()
+        first = compile_plan(agent, (4, 2, 32, 32), dtype=np.float32)
+        second = compile_plan(agent, (4, 2, 32, 32), dtype=np.float32)
+        assert any(isinstance(step, TransposeStep) for step in first.steps)
+        ctx = passes.PassContext(
+            protected_slots={first.input_slot, *first.output_slots,
+                             *first.named_slots.values()},
+        )
+        convs = [step for step in first.steps if isinstance(step, Conv2dStep)]
+        _, evaluate = passes._layout_cost_model(
+            first, ctx, convs, passes._LayoutProgram(first, ctx)
+        )
+        _, reference = _ref_cost_model(first, ctx, convs)
+        r = np.random.default_rng(7)
+        for _ in range(24):
+            assign = {id(step): "NHWC" if r.random() < 0.5 else "NCHW" for step in convs}
+            assert evaluate(assign) == reference(assign)
+        passes.assign_layouts(first, ctx)
+        _ref_assign_layouts(second, ctx)
+        assert _plan_structure(first) == _plan_structure(second)
