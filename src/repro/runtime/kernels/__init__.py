@@ -9,8 +9,13 @@ each distinct signature once per process and caches the winner.
 
 Registered kernels (import order puts the general fallback last):
 
-* ``depthwise_direct`` — output-stationary direct depthwise convolution
+* ``depthwise_direct`` — per-tap shifted-view depthwise conv on NCHW slots
   (forward + input/weight VJPs) that never materialises im2col columns;
+* ``depthwise_native`` — compiled C depthwise conv on NHWC slots, float32
+  and float64, forward + both VJPs (:mod:`~repro.runtime.kernels._native`);
+  a candidate only where the host could build it, bitwise equal to
+* ``depthwise_einsum`` — the NumPy NHWC depthwise kernel (strided-view
+  ``einsum`` forward, clipped-window VJPs) and the native kernel's fallback;
 * ``im2col_block`` — lane-blocked strided-view im2col keeping the gathered
   columns L2-resident (inference; NCHW any groups, NHWC ungrouped);
 * ``pointwise_nhwc`` — 1x1 convolutions on channels-last activations as one
@@ -18,9 +23,10 @@ Registered kernels (import order puts the general fallback last):
 * ``im2col`` — the original whole-batch im2col + batched GEMM, supporting
   every NCHW signature in both directions (the total fallback for that
   layout);
-* ``depthwise_native_q8/q16``, ``depthwise_direct_q8/q16``,
-  ``depthwise_einsum_q8/q16``, ``pointwise_q8/q16`` — the quantized
-  inference kernels (:mod:`~repro.runtime.kernels.quantized`): integer
+* ``depthwise_native_q8/q16``, ``depthwise_vnni_q8``,
+  ``depthwise_direct_q8/q16``, ``depthwise_einsum_q8/q16``,
+  ``pointwise_vnni_q8``, ``pointwise_q8/q16`` — the quantized inference
+  kernels (:mod:`~repro.runtime.kernels.quantized`): integer
   activations, wide accumulation, fused per-channel requant tail.  They
   serve only signatures whose ``quant`` field is set, so the float paths
   are untouched.
@@ -35,7 +41,7 @@ hardware — dataflow-specialised conv engines selected per workload shape —
 applied to the NumPy runtime.
 """
 
-from . import depthwise as _depthwise  # noqa: F401  (registers depthwise_direct)
+from . import depthwise as _depthwise  # noqa: F401  (registers the depthwise kernels)
 from . import conv as _conv  # noqa: F401  (registers im2col_block, pointwise_nhwc, im2col)
 from . import quantized as _quantized  # noqa: F401  (registers the q8/q16 kernels)
 from .autotune import blas_thread_count

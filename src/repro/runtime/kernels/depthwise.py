@@ -1,40 +1,38 @@
-"""Output-stationary direct depthwise convolution (forward + VJPs).
+"""Depthwise convolution kernels (forward + VJPs) that never build im2col columns.
 
 Depthwise convolutions dominate the runtime's rollout plans (the searched
 agents are inverted-residual-heavy), and the im2col path serves them badly:
 the patch gather copies ``k*k`` shifted images through tiny strided runs,
 and the "GEMM" that follows is ``N*C`` degenerate ``(1, k^2) @ (k^2, L)``
-dot products.  This kernel never materialises columns.  Instead it works on
-a channels-last (NHWC) padded copy of the input and accumulates the output
-tile tap by tap::
+dot products.  Every kernel here accumulates the output tap by tap instead::
 
     out[b, y, x, :] += w[i, j, :] * xpad[b, y*s + i, x*s + j, :]
 
 Channels-last makes each tap a contiguous multiply along the channel axis
-(the per-channel weight broadcasts over the *trailing* dimension, which
-NumPy vectorises well), and the batch is processed in lane blocks sized so
-the padded block, the accumulator and the tap workspace all stay
-L2-resident — the output tile is touched ``k^2`` times but never leaves the
-cache, and the fused epilogue runs on it while it is still hot.
+(the per-channel weight broadcasts over the *trailing* dimension).
 
-Reverse mode reuses the saved padded NHWC input: the weight VJP is the same
-tap loop with a channel reduction, and the input VJP scatters
-``gout * w[i, j]`` back through the shifted windows (into a padded workspace
-when ``padding > 0``).
-
-When the slot itself is tagged NHWC by the layout-assignment pass the
-pack/unpack transposes disappear entirely: the forward needs only a border
-pad of the already-channels-last input (a row-contiguous copy, transient
-scratch in both directions) and accumulates directly into the NHWC output
-buffer, while the VJPs contract clipped strided windows of the plan's own
-input slot — the kernel then carries no persistent state at all.
+* :class:`DepthwiseDirectKernel` serves NCHW slots: it packs the input into
+  a channels-last padded copy, runs the per-tap MAC lane block by lane
+  block (so the padded block, the accumulator and the tap workspace stay
+  L2-resident), and unpacks into the NCHW output.
+* :class:`DepthwiseEinsumKernel` is the NumPy NHWC kernel: one ``einsum``
+  over a zero-copy strided tap view of a border-padded copy, and VJPs that
+  contract clipped strided windows of the plan's own slot buffers.
+* :class:`DepthwiseNativeKernel` runs the same NHWC arithmetic as compiled C
+  (:mod:`repro.runtime.kernels._native`): implicit zero padding, no padded
+  copy, bitwise equal to the einsum kernel in forward and both VJPs.  When
+  the host cannot build the C code it does not register as a candidate and
+  the einsum kernel serves the signature unchanged.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from . import _native
 from .registry import (
     BLOCK_TARGET_BYTES,
     SCRATCH_GEMM,
@@ -44,53 +42,57 @@ from .registry import (
     register_kernel,
 )
 
-__all__ = ["DepthwiseDirectKernel", "DepthwiseEinsumKernel"]
+__all__ = ["DepthwiseDirectKernel", "DepthwiseEinsumKernel", "DepthwiseNativeKernel"]
+
+
+def _lane_block(spec, lane_bytes):
+    """Batch lanes per block so one block's working set stays L2-resident."""
+    return max(1, min(spec.batch, BLOCK_TARGET_BYTES // max(lane_bytes, 1)))
+
+
+def _padded_shape(spec, lanes):
+    p = spec.padding
+    return (lanes, spec.height + 2 * p, spec.width + 2 * p, spec.in_channels)
+
+
+def _fill_padded(xb, x, p):
+    """Copy NHWC ``x`` into the interior of ``xb`` and zero its border.
+
+    The scratch arena is shared with other steps, so the border must be
+    re-zeroed on every call.
+    """
+    h, w = x.shape[1], x.shape[2]
+    xb[:, :p] = 0.0
+    xb[:, p + h:] = 0.0
+    xb[:, p:p + h, :p] = 0.0
+    xb[:, p:p + h, p + w:] = 0.0
+    xb[:, p:p + h, p:p + w, :] = x
 
 
 @register_kernel
 class DepthwiseDirectKernel(ConvKernel):
-    """Per-tap shifted-view MAC over an NHWC padded input, lane-blocked."""
+    """Per-tap shifted-view MAC over a packed NHWC padded copy of an NCHW slot."""
 
     name = "depthwise_direct"
     trains = True
 
-    # ------------------------------------------------------------------ #
-    # Geometry helpers
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def _lane_bytes(cls, spec):
-        tile = spec.out_height * spec.out_width
-        padded = (spec.height + 2 * spec.padding) * (spec.width + 2 * spec.padding)
-        per_lane = padded + 2 * tile
-        return per_lane * spec.in_channels * spec.itemsize
-
     @classmethod
     def _block(cls, spec):
-        return max(1, min(spec.batch, BLOCK_TARGET_BYTES // max(cls._lane_bytes(spec), 1)))
+        tile = spec.out_height * spec.out_width
+        padded = (spec.height + 2 * spec.padding) * (spec.width + 2 * spec.padding)
+        return _lane_block(spec, (padded + 2 * tile) * spec.in_channels * spec.itemsize)
 
     @classmethod
     def supports(cls, spec):
-        return spec.depthwise
+        return spec.depthwise and spec.layout == "NCHW"
 
     @classmethod
     def scratch_requests(cls, spec):
         block = cls._block(spec)
-        c, item = spec.in_channels, spec.itemsize
-        tile = block * spec.out_height * spec.out_width * c * item
-        padded = (
-            block * (spec.height + 2 * spec.padding)
-            * (spec.width + 2 * spec.padding) * c * item
-        )
-        if spec.layout == "NHWC":
-            # The accumulator is the output buffer itself; the padded copy is
-            # call-transient in both directions (the VJPs re-read the plan's
-            # own input slot instead of saved state).
-            requests = [(SCRATCH_MAIN, tile)]
-            if spec.padding > 0:
-                requests.append((SCRATCH_PAD, padded))
-            return tuple(requests)
+        tile = block * spec.out_height * spec.out_width * spec.in_channels * spec.itemsize
         requests = [(SCRATCH_GEMM, tile), (SCRATCH_MAIN, tile)]
         if not spec.train:
+            padded = math.prod(_padded_shape(spec, block)) * spec.itemsize
             requests.append((SCRATCH_PAD, padded))
         return tuple(requests)
 
@@ -98,57 +100,26 @@ class DepthwiseDirectKernel(ConvKernel):
     def backward_scratch_requests(cls, spec, input_grad_needed):
         n, c, item = spec.batch, spec.in_channels, spec.itemsize
         tile = n * spec.out_height * spec.out_width * c * item
-        if spec.layout == "NHWC":
-            return ((SCRATCH_MAIN, tile),)
         requests = [(SCRATCH_GEMM, tile), (SCRATCH_MAIN, tile)]
         if input_grad_needed and spec.padding > 0:
-            padded = (
-                n * (spec.height + 2 * spec.padding)
-                * (spec.width + 2 * spec.padding) * c * item
-            )
+            padded = math.prod(_padded_shape(spec, n)) * item
             requests.append((SCRATCH_PAD, padded))
         return tuple(requests)
 
-    # ------------------------------------------------------------------ #
-    # Binding
-    # ------------------------------------------------------------------ #
     def __init__(self, spec, plan):
         super().__init__(spec, plan)
         n, c = spec.batch, spec.in_channels
         oh, ow = spec.out_height, spec.out_width
         self._b = self._block(spec)
-        if spec.layout == "NHWC":
-            # The slot is already channels-last: no pack/unpack transposes and
-            # no persistent saved state.  A call-transient padded copy keeps
-            # every tap a full regular-stride window (much faster than
-            # clipped subview accumulation); the accumulator is the output
-            # buffer itself.
-            self._wsh = plan.workspace((self._b, oh, ow, c), channel=SCRATCH_MAIN)
-            self._xph = (
-                plan.workspace(
-                    (
-                        self._b,
-                        spec.height + 2 * spec.padding,
-                        spec.width + 2 * spec.padding,
-                        c,
-                    ),
-                    channel=SCRATCH_PAD,
-                )
-                if spec.padding > 0
-                else None
-            )
+        if spec.train:
+            # The padded NHWC input is the saved state the VJPs contract
+            # against, so it must survive the forward pass: allocate the
+            # full batch persistently (zeroed once; the border stays zero).
+            self._xph = plan.alloc(_padded_shape(spec, n), zero=True)
         else:
-            ph = spec.height + 2 * spec.padding
-            pw = spec.width + 2 * spec.padding
-            if spec.train:
-                # The padded NHWC input is the saved state the VJPs contract
-                # against, so it must survive the forward pass: allocate the
-                # full batch persistently (zeroed once; the border stays zero).
-                self._xph = plan.alloc((n, ph, pw, c), zero=True)
-            else:
-                self._xph = plan.workspace((self._b, ph, pw, c), channel=SCRATCH_PAD)
-            self._outh = plan.workspace((self._b, oh, ow, c), channel=SCRATCH_GEMM)
-            self._wsh = plan.workspace((self._b, oh, ow, c), channel=SCRATCH_MAIN)
+            self._xph = plan.workspace(_padded_shape(spec, self._b), channel=SCRATCH_PAD)
+        self._outh = plan.workspace((self._b, oh, ow, c), channel=SCRATCH_GEMM)
+        self._wsh = plan.workspace((self._b, oh, ow, c), channel=SCRATCH_MAIN)
         #: Per-tap weight rows ``(k*k, C)``, refreshed from the live weight
         #: array every call (tiny next to any feature map).
         self._wt = plan.alloc((spec.kernel * spec.kernel, c))
@@ -165,34 +136,12 @@ class DepthwiseDirectKernel(ConvKernel):
             :,
         ]
 
-    def _tap_bounds(self, tap):
-        """Clipped tap geometry for the in-place (no padded copy) NHWC mode.
-
-        Returns ``(y0, y1, x0, x1, r0, c0)``: the tap contributes to output
-        rows ``y0:y1`` / cols ``x0:x1``, reading input rows from ``r0`` and
-        cols from ``c0`` (both stepped by the stride).  Padding is realised
-        by this clipping — out-of-image taps simply shrink their region.
-        """
-        spec = self.spec
-        i, j = divmod(tap, spec.kernel)
-        s, p = spec.stride, spec.padding
-        y0 = max(0, -(-(p - i) // s))
-        y1 = min(spec.out_height, (spec.height - 1 - i + p) // s + 1)
-        x0 = max(0, -(-(p - j) // s))
-        x1 = min(spec.out_width, (spec.width - 1 - j + p) // s + 1)
-        return y0, y1, x0, x1, y0 * s + i - p, x0 * s + j - p
-
-    # ------------------------------------------------------------------ #
-    # Forward
-    # ------------------------------------------------------------------ #
     def forward(self, x, weight, out, epilogue):
         spec = self.spec
         n, c, p = spec.batch, spec.in_channels, spec.padding
         h, w, k = spec.height, spec.width, spec.kernel
         taps = k * k
         self._wt[...] = weight.reshape(c, taps).T
-        if spec.layout == "NHWC":
-            return self._forward_nhwc(x, out, epilogue)
         if spec.train:
             # Interior fill of the persistent buffer; the border is zero from
             # allocation and never written.
@@ -205,14 +154,7 @@ class DepthwiseDirectKernel(ConvKernel):
                 xb = self._xph[n0:n1]
             else:
                 xb = self._xph[:b]
-                if p > 0:
-                    # The scratch arena is shared with other steps, so the
-                    # padding border must be re-zeroed per block.
-                    xb[:, :p] = 0.0
-                    xb[:, p + h:] = 0.0
-                    xb[:, p:p + h, :p] = 0.0
-                    xb[:, p:p + h, p + w:] = 0.0
-                xb[:, p:p + h, p:p + w, :] = np.moveaxis(x[n0:n1], 1, -1)
+                _fill_padded(xb, np.moveaxis(x[n0:n1], 1, -1), p)
             ob = self._outh[:b]
             wb = self._wsh[:b]
             np.multiply(self._tap_view(xb, 0), self._wt[0], out=ob)
@@ -225,77 +167,15 @@ class DepthwiseDirectKernel(ConvKernel):
         if not blockwise:
             epilogue.apply(out)
 
-    def _forward_nhwc(self, x, out, epilogue):
-        """Regular-tap accumulation straight into the NHWC output buffer.
-
-        Same tap sequence as the NCHW path (so the two layouts agree to
-        rounding), but with the pack/unpack transposes gone: the input needs
-        only a border pad (a row-contiguous copy), and the accumulator is the
-        output buffer itself rather than an unpack staging tile.
-        """
-        spec = self.spec
-        n, c, p = spec.batch, spec.in_channels, spec.padding
-        h, w = spec.height, spec.width
-        taps = spec.kernel * spec.kernel
-        blockwise = epilogue.blockwise
-        for n0 in range(0, n, self._b):
-            n1 = min(n0 + self._b, n)
-            b = n1 - n0
-            if p > 0:
-                xb = self._xph[:b]
-                # The scratch arena is shared with other steps, so the
-                # padding border must be re-zeroed per block.
-                xb[:, :p] = 0.0
-                xb[:, p + h:] = 0.0
-                xb[:, p:p + h, :p] = 0.0
-                xb[:, p:p + h, p + w:] = 0.0
-                xb[:, p:p + h, p:p + w, :] = x[n0:n1]
-            else:
-                xb = x[n0:n1]
-            ob = out[n0:n1]
-            wb = self._wsh[:b]
-            np.multiply(self._tap_view(xb, 0), self._wt[0], out=ob)
-            for tap in range(1, taps):
-                np.multiply(self._tap_view(xb, tap), self._wt[tap], out=wb)
-                np.add(ob, wb, out=ob)
-            if blockwise:
-                epilogue.apply(ob, lanes=slice(n0, n1))
-        if not blockwise:
-            epilogue.apply(out)
-
-    # ------------------------------------------------------------------ #
-    # Reverse mode
-    # ------------------------------------------------------------------ #
     def allocate_backward(self, plan, input_grad_needed):
         spec = self.spec
         n, c = spec.batch, spec.in_channels
         oh, ow = spec.out_height, spec.out_width
-        if spec.layout == "NHWC":
-            self._gtap = plan.workspace((n, oh, ow, c), channel=SCRATCH_MAIN)
-            return
         self._gouth = plan.workspace((n, oh, ow, c), channel=SCRATCH_GEMM)
         self._gtap = plan.workspace((n, oh, ow, c), channel=SCRATCH_MAIN)
         self._gpadh = None
         if input_grad_needed and spec.padding > 0:
-            ph = spec.height + 2 * spec.padding
-            pw = spec.width + 2 * spec.padding
-            self._gpadh = plan.workspace((n, ph, pw, c), channel=SCRATCH_PAD)
-
-    def _backward_nhwc(self, gout, x, gw, gin):
-        """Weight / input VJPs contracting the plan's own NHWC slot buffers."""
-        spec = self.spec
-        k, s = spec.kernel, spec.stride
-        for tap in range(k * k):
-            y0, y1, x0, x1, r0, c0 = self._tap_bounds(tap)
-            gv = gout[:, y0:y1, x0:x1, :]
-            xv = x[:, r0:r0 + s * (y1 - y0):s, c0:c0 + s * (x1 - x0):s, :]
-            gt = self._gtap[:, :y1 - y0, :x1 - x0]
-            np.multiply(gv, xv, out=gt)
-            i, j = divmod(tap, k)
-            gw[:, 0, i, j] += gt.sum(axis=(0, 1, 2))
-            if gin is not None:
-                np.multiply(gv, self._wt[tap], out=gt)
-                gin[:, r0:r0 + s * (y1 - y0):s, c0:c0 + s * (x1 - x0):s, :] += gt
+            self._gpadh = plan.workspace(_padded_shape(spec, n), channel=SCRATCH_PAD)
 
     def backward(self, gout, x, weight, gw, gin):
         spec = self.spec
@@ -303,8 +183,6 @@ class DepthwiseDirectKernel(ConvKernel):
         h, w, k = spec.height, spec.width, spec.kernel
         taps = k * k
         self._wt[...] = weight.reshape(c, taps).T
-        if spec.layout == "NHWC":
-            return self._backward_nhwc(gout, x, gw, gin)
         np.copyto(self._gouth, np.moveaxis(gout, 1, -1))
         # Weight VJP: per tap, reduce gout * (shifted saved input) over NHW.
         for tap in range(taps):
@@ -329,37 +207,32 @@ class DepthwiseDirectKernel(ConvKernel):
             gin += np.moveaxis(self._gpadh[:, p:p + h, p:p + w, :], 3, 1)
 
 
-@register_kernel
-class DepthwiseEinsumKernel(DepthwiseDirectKernel):
+class DepthwiseEinsumKernel(ConvKernel):
     """Single-pass einsum contraction over a strided NHWC tap view.
 
-    The per-tap multiply-accumulate of :class:`DepthwiseDirectKernel` streams
-    the output tile through memory ``k^2`` times (two passes per tap: the
-    broadcast multiply and the accumulate).  With a channels-last input the
-    whole contraction collapses into one ``einsum`` over a zero-copy strided
-    view ``(b, oh, ow, k, k, C)`` of the padded input::
+    With a channels-last input the whole depthwise contraction is one
+    ``einsum`` over a zero-copy strided view ``(b, oh, ow, k, k, C)`` of the
+    border-padded input::
 
         out[b, y, x, c] = sum_ij view[b, y, x, i, j, c] * w[i, j, c]
 
     — a single C-level pass whose innermost axis is the contiguous channel
-    run.  Each output element left-folds its ``k*k`` products in the same
-    tap order as the direct kernel, so the two NHWC formulations agree to
-    the usual float-reassociation tolerance while this one runs 1.5-5x
-    faster on wide-channel signatures (the direct kernel keeps winning the
-    narrow-channel ones, which is exactly what the autotuner arbitrates).
+    run, each output element folding its ``k*k`` products in tap order
+    ``(i, j)``.  The VJPs contract clipped strided windows of the plan's own
+    slot buffers, tap by tap, so the kernel carries no persistent state.
 
-    Reverse mode is inherited: the NHWC VJPs of the direct kernel already
-    contract clipped windows of the plan's own slot buffers.
+    This is the NumPy NHWC kernel and the fallback of
+    :class:`DepthwiseNativeKernel`, which computes the same sums in C.
     """
 
     name = "depthwise_einsum"
     trains = True
 
     @classmethod
-    def _lane_bytes(cls, spec):
+    def _block(cls, spec):
         tile = spec.out_height * spec.out_width
         padded = (spec.height + 2 * spec.padding) * (spec.width + 2 * spec.padding)
-        return (padded + tile) * spec.in_channels * spec.itemsize
+        return _lane_block(spec, (padded + tile) * spec.in_channels * spec.itemsize)
 
     @classmethod
     def supports(cls, spec):
@@ -369,36 +242,46 @@ class DepthwiseEinsumKernel(DepthwiseDirectKernel):
     def scratch_requests(cls, spec):
         if spec.padding == 0:
             return ()
-        block = cls._block(spec)
-        padded = (
-            block * (spec.height + 2 * spec.padding)
-            * (spec.width + 2 * spec.padding) * spec.in_channels * spec.itemsize
-        )
+        padded = math.prod(_padded_shape(spec, cls._block(spec))) * spec.itemsize
         return ((SCRATCH_PAD, padded),)
 
+    @classmethod
+    def backward_scratch_requests(cls, spec, input_grad_needed):
+        tile = spec.batch * spec.out_height * spec.out_width * spec.in_channels
+        return ((SCRATCH_MAIN, tile * spec.itemsize),)
+
     def __init__(self, spec, plan):
-        ConvKernel.__init__(self, spec, plan)
-        c = spec.in_channels
+        super().__init__(spec, plan)
         self._b = self._block(spec)
         self._xph = (
-            plan.workspace(
-                (
-                    self._b,
-                    spec.height + 2 * spec.padding,
-                    spec.width + 2 * spec.padding,
-                    c,
-                ),
-                channel=SCRATCH_PAD,
-            )
-            if spec.padding > 0
+            plan.workspace(_padded_shape(spec, self._b), channel=SCRATCH_PAD)
+            if self.scratch_requests(spec)
             else None
         )
-        self._wt = plan.alloc((spec.kernel * spec.kernel, c))
+        #: Per-tap weight rows ``(k*k, C)``, refreshed from the live weight
+        #: array every call (tiny next to any feature map).
+        self._wt = plan.alloc((spec.kernel * spec.kernel, spec.in_channels))
+
+    def _tap_bounds(self, tap):
+        """Clipped tap geometry: padding realised as a shrunken region.
+
+        Returns ``(y0, y1, x0, x1, r0, c0)``: the tap contributes to output
+        rows ``y0:y1`` / cols ``x0:x1``, reading input rows from ``r0`` and
+        cols from ``c0`` (both stepped by the stride).
+        """
+        spec = self.spec
+        i, j = divmod(tap, spec.kernel)
+        s, p = spec.stride, spec.padding
+        y0 = max(0, -(-(p - i) // s))
+        y1 = min(spec.out_height, (spec.height - 1 - i + p) // s + 1)
+        x0 = max(0, -(-(p - j) // s))
+        x1 = min(spec.out_width, (spec.width - 1 - j + p) // s + 1)
+        return y0, y1, x0, x1, y0 * s + i - p, x0 * s + j - p
 
     def forward(self, x, weight, out, epilogue):
         spec = self.spec
         n, c, p = spec.batch, spec.in_channels, spec.padding
-        h, w, k, s = spec.height, spec.width, spec.kernel, spec.stride
+        k, s = spec.kernel, spec.stride
         oh, ow = spec.out_height, spec.out_width
         self._wt[...] = weight.reshape(c, k * k).T
         wv = self._wt.reshape(k, k, c)
@@ -408,13 +291,7 @@ class DepthwiseEinsumKernel(DepthwiseDirectKernel):
             b = n1 - n0
             if p > 0:
                 xb = self._xph[:b]
-                # The scratch arena is shared with other steps, so the
-                # padding border must be re-zeroed per block.
-                xb[:, :p] = 0.0
-                xb[:, p + h:] = 0.0
-                xb[:, p:p + h, :p] = 0.0
-                xb[:, p:p + h, p + w:] = 0.0
-                xb[:, p:p + h, p:p + w, :] = x[n0:n1]
+                _fill_padded(xb, x[n0:n1], p)
             else:
                 xb = x[n0:n1]
             st = xb.strides
@@ -428,3 +305,103 @@ class DepthwiseEinsumKernel(DepthwiseDirectKernel):
                 epilogue.apply(out[n0:n1], lanes=slice(n0, n1))
         if not blockwise:
             epilogue.apply(out)
+
+    def allocate_backward(self, plan, input_grad_needed):
+        self._gtap = (
+            plan.workspace(self._out_nhwc(), channel=SCRATCH_MAIN)
+            if self.backward_scratch_requests(self.spec, input_grad_needed)
+            else None
+        )
+
+    def _out_nhwc(self):
+        spec = self.spec
+        return (spec.batch, spec.out_height, spec.out_width, spec.in_channels)
+
+    def backward(self, gout, x, weight, gw, gin):
+        spec = self.spec
+        k, s = spec.kernel, spec.stride
+        self._wt[...] = weight.reshape(spec.in_channels, k * k).T
+        for tap in range(k * k):
+            y0, y1, x0, x1, r0, c0 = self._tap_bounds(tap)
+            gv = gout[:, y0:y1, x0:x1, :]
+            xv = x[:, r0:r0 + s * (y1 - y0):s, c0:c0 + s * (x1 - x0):s, :]
+            gt = self._gtap[:, :y1 - y0, :x1 - x0]
+            np.multiply(gv, xv, out=gt)
+            i, j = divmod(tap, k)
+            gw[:, 0, i, j] += gt.sum(axis=(0, 1, 2))
+            if gin is not None:
+                np.multiply(gv, self._wt[tap], out=gt)
+                gin[:, r0:r0 + s * (y1 - y0):s, c0:c0 + s * (x1 - x0):s, :] += gt
+
+
+@register_kernel
+class DepthwiseNativeKernel(DepthwiseEinsumKernel):
+    """The einsum kernel's arithmetic as compiled C, bitwise equal to it.
+
+    Forward: implicit zero padding — no padded copy, no scratch — with each
+    output pixel accumulated in registers in tap order and stored once, then
+    the step's epilogue on the whole output.  Weight VJP: per-tap channel
+    reduction in ``(b, y, x)`` order into a ``(k*k, C)`` buffer, then added
+    into ``gw``.  Input VJP: a tap-major scatter per image.  Arrays the C
+    code cannot take (not C-contiguous, or not of the signature's dtype) go
+    through the inherited einsum path.  The plan's own slots never need it,
+    so its pad/tap buffers are private and allocated on first use rather
+    than requested from the plan's scratch arena.
+    """
+
+    name = "depthwise_native"
+
+    @classmethod
+    def supports(cls, spec):
+        return (
+            super().supports(spec)
+            and spec.dtype in ("float32", "float64")
+            and _native.available()
+        )
+
+    @classmethod
+    def scratch_requests(cls, spec):
+        return ()
+
+    @classmethod
+    def backward_scratch_requests(cls, spec, input_grad_needed):
+        return ()
+
+    def allocate_backward(self, plan, input_grad_needed):
+        super().allocate_backward(plan, input_grad_needed)
+        self._gwt = plan.alloc((self.spec.kernel ** 2, self.spec.in_channels))
+
+    def _native_ok(self, *arrays):
+        dtype = self._wt.dtype
+        return all(
+            a is None or (a.flags.c_contiguous and a.dtype == dtype) for a in arrays
+        )
+
+    def forward(self, x, weight, out, epilogue):
+        spec = self.spec
+        if not self._native_ok(x, out):
+            if self._xph is None and spec.padding > 0:
+                self._xph = np.empty(_padded_shape(spec, self._b), self._wt.dtype)
+            return super().forward(x, weight, out, epilogue)
+        k = spec.kernel
+        self._wt[...] = weight.reshape(spec.in_channels, k * k).T
+        _native.dw_conv(x, self._wt, out, k, spec.stride, spec.padding)
+        epilogue.apply(out)
+
+    def backward(self, gout, x, weight, gw, gin):
+        spec = self.spec
+        if not self._native_ok(gout, x, gw, gin):
+            if self._gtap is None:
+                self._gtap = np.empty(self._out_nhwc(), self._wt.dtype)
+            return super().backward(gout, x, weight, gw, gin)
+        k = spec.kernel
+        self._wt[...] = weight.reshape(spec.in_channels, k * k).T
+        _native.dw_conv_bwd(
+            gout, x, self._wt, gw, gin, self._gwt, k, spec.stride, spec.padding
+        )
+
+
+# The einsum kernel registers after its native subclass: the last candidate
+# is the autotuner's incumbent, so the C kernel must beat the NumPy one by the
+# tuning margin to serve a signature.
+register_kernel(DepthwiseEinsumKernel)

@@ -11,20 +11,24 @@ Numerics contract (shared with :mod:`._native`): every kernel of one quant
 mode produces **bitwise identical** output.  The integer accumulation is
 exact everywhere — q8 products are at most ``127*127`` and the deepest sum
 stays far below ``2**24``, so float32 arithmetic (einsum, BLAS sgemm, the C
-kernel's int32 loop) computes the same exact integers in any association;
-q16 gets the same guarantee from float64 / int64 below ``2**53``.  The
-requant tail then performs one multiply round, one add round per term, and
-a round-half-even narrow, in the same order on every path.  This is what
+kernels' float loops) and the VNNI kernels' int32 lanes compute the same
+exact integers in any association; q16 gets the same guarantee from
+float64 below ``2**53``.  The requant tail then performs one multiply
+round, one add round per term, and a round-half-even narrow, in the same
+order on every path.  This is what
 lets the autotuner pick freely between candidates without perturbing
 trajectories, and what the parity suite pins against an i64 reference.
 
 Candidates per mode (registration order puts the NumPy einsum fallback as
 the autotuner's incumbent for depthwise):
 
-* ``depthwise_native_q8/q16`` — the compiled C kernel
-  (:mod:`repro.runtime.kernels._native`): true int32/int64 accumulation,
-  no upcast copies, requant fused into the row loop.  Absent when the host
-  cannot build it.
+* ``depthwise_native_q8/q16`` — the compiled float depthwise kernel of
+  :mod:`repro.runtime.kernels._native` on each image widened to
+  float/double, with the requant fused into its store.  Absent when the
+  host cannot build it.
+* ``depthwise_vnni_q8`` / ``pointwise_vnni_q8`` — compiled int8 kernels on
+  AVX-512 VNNI byte dot products (four taps, or four input channels, per
+  int32 lane), requant fused.  Present only where the host has VNNI.
 * ``depthwise_direct_q8/q16`` — per-tap MAC over an upcast padded NHWC
   copy (the float direct kernel's loop, on exact-integer floats).
 * ``depthwise_einsum_q8/q16`` — single strided-view einsum contraction
@@ -60,6 +64,8 @@ __all__ = [
     "DepthwiseDirectQ16Kernel",
     "DepthwiseEinsumQ8Kernel",
     "DepthwiseEinsumQ16Kernel",
+    "DepthwiseVnniQ8Kernel",
+    "PointwiseVnniQ8Kernel",
     "PointwiseQ8Kernel",
     "PointwiseQ16Kernel",
 ]
@@ -114,9 +120,7 @@ class RequantEpilogue:
             and out.flags.c_contiguous
             and (res is None or res.flags.c_contiguous)
         ):
-            fn = _native.requant_q8 if out.dtype == np.int8 else _native.requant_q16
-            fn(acc, self.scale, self.bias, res, float(self.res_scale),
-               out, float(self.lo), float(self.hi))
+            _native.requant(acc, self, res, out)
             return
         np.multiply(acc, self.scale, out=acc)
         acc += self.bias
@@ -151,9 +155,7 @@ class _QuantKernel(ConvKernel):
 # Depthwise: compiled C kernel
 # --------------------------------------------------------------------------- #
 class _DepthwiseNativeBase(_QuantKernel):
-    """ctypes front-end of the C depthwise kernel (int accumulate, fused requant)."""
-
-    _fn = None  # staticmethod set by subclasses
+    """ctypes front-end of the C depthwise kernel (register tiles, fused requant)."""
 
     @classmethod
     def _shape_ok(cls, spec):
@@ -161,32 +163,31 @@ class _DepthwiseNativeBase(_QuantKernel):
 
     @classmethod
     def scratch_requests(cls, spec):
-        acc_item = 4 if spec.quant == "q8" else 8
-        return ((SCRATCH_GEMM, spec.out_width * spec.in_channels * acc_item),)
+        image = spec.height * spec.width * spec.in_channels
+        return ((SCRATCH_PAD, image * spec.acc_dtype.itemsize),)
 
     def __init__(self, spec, plan):
         super().__init__(spec, plan)
-        c, k = spec.in_channels, spec.kernel
-        acc_dtype = np.int32 if spec.quant == "q8" else np.int64
-        self._acc = plan.workspace(
-            (spec.out_width * c,), dtype=acc_dtype, channel=SCRATCH_GEMM
+        c, acc_dtype = spec.in_channels, spec.acc_dtype
+        #: One input image widened to the exact float type.
+        self._ximg = plan.workspace(
+            (spec.height * spec.width * c,), dtype=acc_dtype, channel=SCRATCH_PAD
         )
-        #: Tap-major ``(k*k, C)`` integer weight, re-derived when the step
-        #: requantizes (signalled by the epilogue version counter).
-        self._wt = plan.alloc((k * k, c), dtype=spec.act_dtype)
+        #: Tap-major ``(k*k, C)`` weight widened to the exact float type,
+        #: re-derived when the step requantizes (signalled by the epilogue
+        #: version counter).
+        self._wt = plan.alloc((spec.kernel * spec.kernel, c), dtype=acc_dtype)
         self._wt_version = None
 
     def forward(self, x, weight, out, epilogue):
         spec = self.spec
         assert x.flags["C_CONTIGUOUS"] and out.flags["C_CONTIGUOUS"]
         if self._wt_version != epilogue.version:
-            self._wt[...] = weight.reshape(spec.in_channels, -1).T
+            np.copyto(self._wt, weight.reshape(spec.in_channels, -1).T)
             self._wt_version = epilogue.version
-        type(self)._fn(
-            x, self._wt, epilogue.scale, epilogue.bias,
-            epilogue.res, float(epilogue.res_scale), out, self._acc,
+        _native.dw_conv_quant(
+            x, self._wt, epilogue, out, self._ximg,
             spec.kernel, spec.stride, spec.padding,
-            float(epilogue.lo), float(epilogue.hi),
         )
 
 
@@ -194,14 +195,53 @@ class _DepthwiseNativeBase(_QuantKernel):
 class DepthwiseNativeQ8Kernel(_DepthwiseNativeBase):
     name = "depthwise_native_q8"
     quant = "q8"
-    _fn = staticmethod(_native.dw_conv_q8)
 
 
 @register_kernel
 class DepthwiseNativeQ16Kernel(_DepthwiseNativeBase):
     name = "depthwise_native_q16"
     quant = "q16"
-    _fn = staticmethod(_native.dw_conv_q16)
+
+
+@register_kernel
+class DepthwiseVnniQ8Kernel(_QuantKernel):
+    """ctypes front-end of the C int8 depthwise conv (VNNI, fused requant)."""
+
+    name = "depthwise_vnni_q8"
+    quant = "q8"
+
+    @classmethod
+    def _shape_ok(cls, spec):
+        return spec.depthwise and _native.vnni_available()
+
+    @classmethod
+    def _sizes(cls, spec):
+        return _native.dw_vnni_sizes(
+            spec.in_channels, spec.kernel, spec.height, spec.width, spec.padding
+        )
+
+    @classmethod
+    def scratch_requests(cls, spec):
+        return ((SCRATCH_PAD, cls._sizes(spec)[2]),)
+
+    def __init__(self, spec, plan):
+        super().__init__(spec, plan)
+        packed, corr, image = self._sizes(spec)
+        self._packed = plan.alloc((packed,), dtype=np.int8)
+        self._corr = plan.alloc((corr,), dtype=np.int32)
+        self._image = plan.workspace((image,), dtype=np.uint8, channel=SCRATCH_PAD)
+        self._wt_version = None
+
+    def forward(self, x, weight, out, epilogue):
+        spec = self.spec
+        assert x.flags["C_CONTIGUOUS"] and out.flags["C_CONTIGUOUS"]
+        if self._wt_version != epilogue.version:
+            _native.dw_pack_q8(np.ascontiguousarray(weight), self._packed, self._corr)
+            self._wt_version = epilogue.version
+        _native.dw_conv_vnni_q8(
+            x, self._packed, self._corr, epilogue, out, self._image,
+            spec.kernel, spec.stride, spec.padding,
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -396,6 +436,39 @@ class DepthwiseEinsumQ8Kernel(_DepthwiseEinsumQuantBase):
 class DepthwiseEinsumQ16Kernel(_DepthwiseEinsumQuantBase):
     name = "depthwise_einsum_q16"
     quant = "q16"
+
+
+# --------------------------------------------------------------------------- #
+# Pointwise: compiled C kernel
+# --------------------------------------------------------------------------- #
+@register_kernel
+class PointwiseVnniQ8Kernel(_QuantKernel):
+    """ctypes front-end of the C int8 1x1 conv (VNNI GEMM, fused requant)."""
+
+    name = "pointwise_vnni_q8"
+    quant = "q8"
+
+    @classmethod
+    def _shape_ok(cls, spec):
+        return spec.pointwise and _native.vnni_available()
+
+    def __init__(self, spec, plan):
+        super().__init__(spec, plan)
+        packed, cols, rows = _native.pw_vnni_sizes(spec.in_channels, spec.out_channels)
+        self._packed = plan.alloc((packed,), dtype=np.int8)
+        self._corr = plan.alloc((cols,), dtype=np.int32)
+        self._xrows = plan.alloc((rows,), dtype=np.uint8)
+        self._wt_version = None
+
+    def forward(self, x, weight, out, epilogue):
+        assert x.flags["C_CONTIGUOUS"] and out.flags["C_CONTIGUOUS"]
+        if self._wt_version != epilogue.version:
+            _native.pw_pack_q8(
+                np.ascontiguousarray(weight.reshape(weight.shape[0], -1)),
+                self._packed, self._corr,
+            )
+            self._wt_version = epilogue.version
+        _native.pw_conv_vnni_q8(x, self._packed, self._corr, epilogue, out, self._xrows)
 
 
 # --------------------------------------------------------------------------- #

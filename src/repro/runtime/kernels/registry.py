@@ -392,8 +392,9 @@ def _heuristic(spec, cands):
     """Static shape rules, in lieu of timing.
 
     Encodes what the autotuner reliably finds on small-batch rollout shapes:
-    direct NHWC MAC wins for wide late-stage depthwise maps, the lane-blocked
-    gather wins for early high-resolution ones, and everything else stays on
+    the compiled depthwise kernel wins every channels-last depthwise map; in
+    NCHW the direct MAC wins wide late-stage depthwise maps and the
+    lane-blocked gather early high-resolution ones; everything else stays on
     the general GEMM path.
     """
     by_name = {cls.name: cls for cls in cands}
@@ -407,6 +408,8 @@ def _heuristic(spec, cands):
                 return by_name[name]
         return cands[-1]
     if spec.depthwise:
+        if "depthwise_native" in by_name:
+            return by_name["depthwise_native"]
         if "depthwise_direct" in by_name and (
             spec.in_channels >= 64 and spec.out_height * spec.out_width <= 64
         ):

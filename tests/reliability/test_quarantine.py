@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.drl.agent import ActorCriticAgent
+from repro.networks import AgentSuperNet
 from repro.nn import Conv2d, Sequential
 from repro.reliability import health
 from repro.runtime import compile_plan
@@ -15,8 +17,11 @@ from repro.runtime.kernels import (
     quarantined_kernels,
     selection_table,
 )
-from repro.runtime.kernels.autotune import choose, failures_for
+from repro.runtime.kernels import _native
+from repro.runtime.kernels.autotune import _BenchArena, choose, failures_for
+from repro.runtime.kernels.depthwise import DepthwiseNativeKernel
 from repro.runtime.kernels.registry import reset_selections
+from repro.runtime.plan import Conv2dStep
 
 
 @pytest.fixture(autouse=True)
@@ -100,3 +105,37 @@ class TestAutotunerFailures:
         assert rows, "the autotuned row should carry the candidate failure"
         assert any("depthwise_direct" in row["failures"] for row in rows)
         assert all(row["kernel"] != "depthwise_direct" for row in rows)
+
+
+@pytest.mark.skipif(not _native.available(), reason="the host cannot build the native kernels")
+class TestNativeDepthwiseQuarantine:
+    def test_broken_native_kernel_degrades_to_einsum(self, set_faults, monkeypatch):
+        """A crashing ``depthwise_native`` is quarantined once; the einsum
+        fallback serves its signatures with bitwise-identical output."""
+        set_faults("kernel_error=depthwise_native")
+        monkeypatch.setenv("REPRO_KERNELS", "auto")
+        supernet = AgentSuperNet(in_channels=2, input_size=32, feature_dim=128,
+                                 base_width=16, rng=np.random.default_rng(0))
+        agent = ActorCriticAgent(supernet.derive([4, 5, 6] * 4), num_actions=6,
+                                 feature_dim=128, rng=np.random.default_rng(0))
+        agent.eval()
+        x = np.random.default_rng(1).random((4, 2, 32, 32)).astype(np.float32)
+        counter = health.get("quarantined_kernels")
+        plan = compile_plan(agent, x.shape, dtype=np.float32)
+        assert "depthwise_native" in quarantined_kernels()
+        assert health.get("quarantined_kernels") == counter + 1
+        served = [
+            step for step in plan.steps
+            if isinstance(step, Conv2dStep) and step._kernel.spec.depthwise
+            and step._kernel.spec.layout == "NHWC"
+        ]
+        assert served, "no channels-last depthwise conv in the derived plan"
+        assert all(step._kernel.name == "depthwise_einsum" for step in served)
+        fallback = [np.asarray(o).copy() for o in plan.run(x)]
+        # The same plan with the native kernel bound to those steps.
+        for step in served:
+            spec = step._kernel.spec
+            step._kernel = DepthwiseNativeKernel(spec, _BenchArena(spec))
+        native = [np.asarray(o).copy() for o in plan.run(x)]
+        for got, expected in zip(native, fallback):
+            assert got.tobytes() == expected.tobytes()

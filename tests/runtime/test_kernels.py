@@ -8,6 +8,10 @@ back cleanly when a pinned kernel rejects a signature, and the autotuner
 must make one cached, deterministic decision per signature per process.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -24,8 +28,14 @@ from repro.runtime.kernels import (
     kernel_names,
     selection_table,
 )
+from repro.runtime.kernels import _native
+from repro.runtime.kernels.autotune import NULL_EPILOGUE, _BenchArena
 from repro.runtime.kernels.conv import BlockedIm2colKernel
-from repro.runtime.kernels.depthwise import DepthwiseDirectKernel
+from repro.runtime.kernels.depthwise import (
+    DepthwiseDirectKernel,
+    DepthwiseEinsumKernel,
+    DepthwiseNativeKernel,
+)
 from repro.runtime.kernels.registry import reset_selections
 
 F64_TOL = 1e-12
@@ -325,3 +335,190 @@ class TestBlasThreadRecording:
         )
         if row["source"] == "autotuned":
             assert row["timed_blas_threads"] == blas_thread_count()
+
+
+#: (batch, channels, size, kernel, stride) for the native-vs-einsum suite:
+#: k3 and k5, stride 1 and 2, batch 1 and odd batches, and channel counts
+#: that are not a multiple of any SIMD width next to ones that are.
+NATIVE_SHAPES = (
+    (1, 16, 16, 5, 1),
+    (3, 7, 9, 3, 2),
+    (5, 13, 11, 5, 2),
+    (16, 96, 8, 3, 1),
+    (2, 12, 7, 3, 1),
+    (1, 24, 6, 5, 2),
+)
+
+native_only = pytest.mark.skipif(
+    not _native.available(), reason="the host cannot build the native kernels"
+)
+
+
+def _bind_depthwise(cls, batch, channels, size, k, stride, dtype, direction):
+    spec = ConvSpec(batch, channels, channels, size, size, k, stride, k // 2,
+                    channels, np.dtype(dtype).name, direction, "NHWC")
+    kernel = cls(spec, _BenchArena(spec))
+    if spec.train:
+        kernel.allocate_backward(_BenchArena(spec), True)
+    return spec, kernel
+
+
+def _depthwise_pass(cls, shape, dtype, direction, seed=0, gin_needed=True):
+    """Forward (and both VJPs for train) of one bound kernel on seeded data."""
+    spec, kernel = _bind_depthwise(cls, *shape, dtype, direction)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(spec.in_shape).astype(dtype)
+    weight = rng.standard_normal((spec.in_channels, 1, spec.kernel, spec.kernel)).astype(dtype)
+    out = np.full(spec.out_shape, np.nan, dtype=dtype)
+    kernel.forward(x, weight, out, NULL_EPILOGUE)
+    if not spec.train:
+        return (out,)
+    gout = rng.standard_normal(spec.out_shape).astype(dtype)
+    # Nonzero starting values: the VJPs must accumulate, not overwrite.
+    gw = rng.standard_normal(weight.shape).astype(dtype)
+    gin = rng.standard_normal(x.shape).astype(dtype) if gin_needed else None
+    kernel.backward(gout, x, weight, gw, gin)
+    return (out, gw) if gin is None else (out, gw, gin)
+
+
+@native_only
+class TestNativeDepthwise:
+    """``depthwise_native`` is bitwise equal to its ``depthwise_einsum`` fallback."""
+
+    @pytest.mark.parametrize("shape", NATIVE_SHAPES)
+    @pytest.mark.parametrize("direction", ["infer", "train"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_einsum(self, shape, direction, dtype):
+        native = _depthwise_pass(DepthwiseNativeKernel, shape, dtype, direction)
+        einsum = _depthwise_pass(DepthwiseEinsumKernel, shape, dtype, direction)
+        for got, expected, what in zip(native, einsum, ("forward", "gw", "gin")):
+            assert got.dtype == expected.dtype == dtype
+            assert got.tobytes() == expected.tobytes(), what
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_weight_vjp_alone_is_bitwise_equal(self, dtype):
+        shape = (3, 7, 9, 3, 2)
+        native = _depthwise_pass(DepthwiseNativeKernel, shape, dtype, "train", gin_needed=False)
+        einsum = _depthwise_pass(DepthwiseEinsumKernel, shape, dtype, "train", gin_needed=False)
+        assert native[1].tobytes() == einsum[1].tobytes()
+
+    def test_non_contiguous_input_takes_einsum_path(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(_native, "dw_conv", lambda *a: calls.append(a))
+        spec, kernel = _bind_depthwise(DepthwiseNativeKernel, 3, 7, 9, 3, 1,
+                                       np.float64, "infer")
+        rng = np.random.default_rng(1)
+        wide = rng.standard_normal(spec.in_shape[:3] + (2 * spec.in_channels,))
+        x = wide[..., ::2]
+        assert not x.flags.c_contiguous
+        weight = rng.standard_normal((7, 1, 3, 3))
+        out = np.empty(spec.out_shape)
+        kernel.forward(x, weight, out, NULL_EPILOGUE)
+        assert not calls
+        _, reference = _bind_depthwise(DepthwiseEinsumKernel, 3, 7, 9, 3, 1,
+                                       np.float64, "infer")
+        expected = np.empty(spec.out_shape)
+        reference.forward(np.ascontiguousarray(x), weight, expected, NULL_EPILOGUE)
+        assert out.tobytes() == expected.tobytes()
+
+    def test_non_contiguous_gradient_takes_einsum_path(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(_native, "dw_conv_bwd", lambda *a: calls.append(a))
+        grads = {}
+        for cls in (DepthwiseNativeKernel, DepthwiseEinsumKernel):
+            spec, kernel = _bind_depthwise(cls, 3, 7, 9, 3, 2, np.float64, "train")
+            rng = np.random.default_rng(2)
+            x = rng.standard_normal(spec.in_shape)
+            weight = rng.standard_normal((7, 1, 3, 3))
+            wide = rng.standard_normal(spec.out_shape[:3] + (2 * spec.in_channels,))
+            gout = wide[..., ::2]
+            gw, gin = np.zeros_like(weight), np.zeros_like(x)
+            kernel.backward(gout, x, weight, gw, gin)
+            grads[cls.name] = (gw, gin)
+        assert not calls
+        for got, expected in zip(grads["depthwise_native"], grads["depthwise_einsum"]):
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape", [(2, 5, 7, 3, 2), (1, 3, 6, 5, 1)])
+    def test_vjps_match_finite_differences(self, shape, numgrad):
+        spec, kernel = _bind_depthwise(DepthwiseNativeKernel, *shape, np.float64, "train")
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal(spec.in_shape)
+        weight = rng.standard_normal((spec.in_channels, 1, spec.kernel, spec.kernel))
+        probe = rng.standard_normal(spec.out_shape)
+        out = np.empty(spec.out_shape)
+
+        def loss():
+            kernel.forward(x, weight, out, NULL_EPILOGUE)
+            return float(np.sum(out * probe))
+
+        gw = np.zeros_like(weight)
+        gin = np.zeros_like(x)
+        kernel.backward(probe.copy(), x, weight, gw, gin)
+        np.testing.assert_allclose(gw, numgrad(loss, weight), atol=1e-7)
+        np.testing.assert_allclose(gin, numgrad(loss, x), atol=1e-7)
+
+    def test_registered_ahead_of_einsum(self):
+        names = kernel_names()
+        assert names.index("depthwise_native") < names.index("depthwise_einsum")
+        spec = ConvSpec(16, 16, 16, 16, 16, 5, 1, 2, 16, "float32", "infer", "NHWC")
+        assert [cls.name for cls in candidates(spec)] == [
+            "depthwise_native", "depthwise_einsum"
+        ]
+        # NCHW and quantized depthwise signatures are not its business.
+        assert "depthwise_native" not in {
+            cls.name for cls in candidates(spec._replace(layout="NCHW"))
+        }
+
+    def test_fallback_process_serves_identical_plan(self, tmp_path):
+        """``REPRO_NATIVE=0``: no native candidate, bitwise-identical plan output.
+
+        Heuristic dispatch keeps every other choice (layouts included) the
+        same in both processes, so the only difference is which depthwise
+        kernel serves the channels-last convs.
+        """
+        env = dict(os.environ, REPRO_KERNELS="heuristic")
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        outputs = {}
+        for native in ("1", "0"):
+            path = tmp_path / "out{}.npz".format(native)
+            env["REPRO_NATIVE"] = native
+            done = subprocess.run(
+                [sys.executable, "-c", _DERIVED_PLAN_SCRIPT, str(path)],
+                env=env, timeout=600, capture_output=True, text=True,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs[native] = np.load(path)
+        with_native, fallback = outputs["1"], outputs["0"]
+        assert "depthwise_native" in set(with_native["kernels"])
+        assert "depthwise_native" not in set(fallback["kernels"])
+        assert not fallback["native_candidate"]
+        for key in ("probs", "value"):
+            assert with_native[key].tobytes() == fallback[key].tobytes(), key
+
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+
+_DERIVED_PLAN_SCRIPT = """
+import sys
+import numpy as np
+from repro.drl.agent import ActorCriticAgent
+from repro.networks import AgentSuperNet
+from repro.runtime import compile_plan
+from repro.runtime.kernels import ConvSpec, candidates
+from repro.runtime.plan import Conv2dStep
+
+supernet = AgentSuperNet(in_channels=2, input_size=32, feature_dim=128,
+                         base_width=16, rng=np.random.default_rng(0))
+agent = ActorCriticAgent(supernet.derive([4, 5, 6] * 4), num_actions=6,
+                         feature_dim=128, rng=np.random.default_rng(0))
+agent.eval()
+x = np.random.default_rng(3).random((5, 2, 32, 32)).astype(np.float32)
+plan = compile_plan(agent, x.shape, dtype=np.float32)
+probs, value = plan.run(x)
+kernels = [s._kernel.name for s in plan.steps if isinstance(s, Conv2dStep)]
+spec = ConvSpec(5, 16, 16, 16, 16, 5, 1, 2, 16, "float32", "infer", "NHWC")
+native_candidate = "depthwise_native" in [c.name for c in candidates(spec)]
+np.savez(sys.argv[1], probs=np.asarray(probs), value=np.asarray(value),
+         kernels=np.array(kernels), native_candidate=native_candidate)
+"""

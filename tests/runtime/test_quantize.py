@@ -58,6 +58,10 @@ DW_SHAPES = (
     (2, 8, 8, 3, 2, 1),
     (2, 5, 7, 5, 2, 2),
     (2, 4, 6, 3, 1, 0),
+    # More than one 16-channel block with a partial last one, as in the
+    # production signatures (16-320 channels).
+    (2, 40, 6, 5, 2, 2),
+    (1, 20, 5, 3, 1, 1),
 )
 
 
@@ -143,7 +147,9 @@ class TestQuantKernelParity:
                     )
 
     @pytest.mark.parametrize("mode", sorted(QMODES))
-    @pytest.mark.parametrize("cin,cout,h", ((8, 16, 6), (16, 8, 5), (7, 9, 4)))
+    @pytest.mark.parametrize(
+        "cin,cout,h", ((8, 16, 6), (16, 8, 5), (7, 9, 4), (24, 80, 4), (21, 130, 3))
+    )
     def test_pointwise_bitwise_vs_i64_reference(self, mode, cin, cout, h):
         spec = _pw_spec(mode, 3, cin, cout, h)
         cands = candidates(spec)
